@@ -6,8 +6,11 @@ arrays and the bytes of the array serve as a hash key.
 
 The oracle (enumerate_all_congruences) knows nothing about the structure
 theory implemented elsewhere: it computes principal congruences by
-union-find saturation against the full multiplication table and closes
-the set under binary joins.
+saturation against the full multiplication table and closes the set under
+binary joins.  Both phases work on stacks of label arrays: the seeds of a
+block of pairs, and the joins of one relation with every generator, each
+come out of one connected-components call on a graph whose k*m nodes are k
+disjoint copies of the universe (see _row_components).
 """
 
 import numpy as np
@@ -84,9 +87,16 @@ class EquivalenceRelation:
 
     @staticmethod
     def from_blocks(n, blocks):
+        if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+            raise ValueError("blocks must be a list of lists of element indices")
         labels = np.full(n, -1, dtype=LABEL_DTYPE)
         for b, block in enumerate(blocks):
             for x in block:
+                # bool is an int subclass, but true/false are no indices
+                if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+                    raise ValueError(f"block entry {x!r} is not an integer")
+                if not 0 <= x < n:
+                    raise ValueError(f"element {x} outside 0..{n - 1}")
                 if labels[x] != -1:
                     raise ValueError(f"element {x} in two blocks")
                 labels[x] = b
@@ -185,6 +195,11 @@ def first_occurrence(labels):
     return reps
 
 
+def _block_reps(labels):
+    """Least element of the block of each x, for a canonical label array."""
+    return first_occurrence(labels)[labels]
+
+
 def join_labels(b1, b2):
     """Join of two partitions given as label arrays, as canonical labels."""
     n = len(b1)
@@ -197,23 +212,14 @@ def join_labels(b1, b2):
     return uf.labels()
 
 
-def _generated_from_matrix(matrix):
+def equivalence_from_matrix(matrix, check=True):
+    """The matrix must already be an equivalence; its labels are returned."""
     m = np.asarray(matrix, dtype=bool)
     uf = UnionFind(len(m))
     xs, ys = np.nonzero(m)
     for x, y in zip(xs.tolist(), ys.tolist()):
         uf.union(x, y)
-    return m, EquivalenceRelation(uf.labels())
-
-
-def relation_is_equivalence(matrix):
-    m, rel = _generated_from_matrix(matrix)
-    return bool((m == rel.matrix()).all())
-
-
-def equivalence_from_matrix(matrix, check=True):
-    """The matrix must already be an equivalence; its labels are returned."""
-    m, rel = _generated_from_matrix(matrix)
+    rel = EquivalenceRelation(uf.labels())
     if check and not (m == rel.matrix()).all():
         raise ValueError("matrix is not an equivalence relation")
     return rel
@@ -226,6 +232,10 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
+class OracleCheckFailed(RuntimeError):
+    """A relation the oracle is about to return is not a congruence."""
+
+
 def _violation_pairs(mul, labels):
     """Label pairs that compatibility forces to merge, or None at fixpoint.
 
@@ -234,8 +244,7 @@ def _violation_pairs(mul, labels):
     b[x*s] = b[rx*s]; violating positions contribute the offending product
     pairs (as block labels, deduplicated).
     """
-    reps = first_occurrence(labels)
-    rx = reps[labels]
+    rx = _block_reps(labels)
     prod_labels = labels[mul]
     out = []
     left_bad = prod_labels != prod_labels[:, rx]
@@ -293,37 +302,109 @@ def congruence_closure(S, pairs=(), start=None):
     return EquivalenceRelation(closure_labels(mul, labels))
 
 
-def _principal_labels(mul, x, y):
-    """Labels of the principal congruence (x,y)#.
+# Edges per connected-components call in the batched oracle.  csgraph keeps
+# about 40 bytes per edge (int32 ends, CSR copies, a float64 copy of the
+# data), so a full call peaks near 6 MB, whatever the semigroup.
+EDGE_BUDGET = 1 << 17
 
-    The congruence generated by a single pair is the equivalence closure
-    of the translated pairs (sxt, syt) over s, t in S^1, so those are
-    merged in one pass; the saturation scan then runs to fixpoint, which
-    doubles as verification (it terminates immediately when the seed was
-    already saturated).
+
+def _row_components(indptr, targets, rows, m):
+    """Partitions cut out by a graph on rows*m nodes, as a (rows, m) array.
+
+    Node r*m + x stands for element x in row r, and every edge stays inside
+    one row; the edges out of node i go to targets[indptr[i]:indptr[i+1]]
+    (the CSR layout, built by the callers without a sort).  Row r of the
+    result is the canonical label array of the components within row r:
+    each block is named by its least element, and blocks are numbered by
+    first occurrence, so nothing depends on the order in which csgraph
+    numbers its components.
+    """
+    n = rows * m
+    graph = csr_matrix((np.ones(len(targets)), targets, indptr), shape=(n, n))
+    count, comp = connected_components(graph, directed=False)
+    least = np.full(count, n, dtype=np.int64)
+    np.minimum.at(least, comp, np.arange(n))
+    rep = least[comp].reshape(rows, m) - np.arange(0, n, m)[:, None]
+    block_no = np.cumsum(rep == np.arange(m), axis=1) - 1
+    return np.take_along_axis(block_no, rep, axis=1).astype(LABEL_DTYPE)
+
+
+def join_with_each(labels, reps):
+    """Joins of one partition with each of k partitions, as a (k, m) array.
+
+    `reps` is (k, m): reps[i, x] is the least element of the block of x in
+    partition i (see _block_reps).  Row i is the canonical label array of
+    labels v partition i.  Generators are taken in chunks of EDGE_BUDGET
+    edges, one connected-components call per chunk.
+    """
+    k, m = reps.shape
+    own = _block_reps(labels)
+    step = max(1, EDGE_BUDGET // (2 * m))
+    out = []
+    for lo in range(0, k, step):
+        chunk = reps[lo:lo + step]
+        rows = len(chunk)
+        offset = np.arange(0, rows * m, m)[:, None]
+        # two edges out of each node: to its block's least element in the
+        # generator and in `labels`
+        targets = np.stack([chunk + offset, own + offset], axis=2).ravel()
+        indptr = np.arange(0, 2 * rows * m + 1, 2)
+        out.append(_row_components(indptr, targets, rows, m))
+    return np.concatenate(out) if out else np.empty((0, m), dtype=LABEL_DTYPE)
+
+
+def _principal_seeds(mul, xs, ys):
+    """Seed partitions of the pairs (xs[b], ys[b]), one canonical row each.
+
+    The congruence generated by a single pair is generated, as an
+    equivalence, by the translated pairs (sxt, syt) over s, t in S^1, so
+    the components of those pairs are a seed that needs only the
+    saturation scan (closure_labels) to become (x,y)#.  Translates repeat
+    a lot, so each side is deduplicated in an m x m mask per pair before
+    the next step: first the left translates (sx, sy), then their right
+    translates.
     """
     m = len(mul)
-    lx = np.concatenate([[x], mul[:, x]])
-    ly = np.concatenate([[y], mul[:, y]])
-    mx = np.concatenate([lx[:, None], mul[lx, :]], axis=1).ravel()
-    my = np.concatenate([ly[:, None], mul[ly, :]], axis=1).ravel()
-    graph = csr_matrix((np.ones(len(mx), dtype=np.int8), (mx, my)), shape=(m, m))
-    _, labels = connected_components(graph, directed=False)
-    return closure_labels(mul, labels)
+    rows = len(xs)
+    # mask[r*m*m + u*m + v]: (u, v) is a translate of pair r
+    mask = np.zeros(rows * m * m, dtype=bool)
+    base = np.arange(0, rows * m * m, m * m)
+    mask[(base[:, None] + mul[:, xs].T * m + mul[:, ys].T).ravel()] = True  # s in S
+    mask[base + xs * m + ys] = True                                           # s = 1
+    left = np.flatnonzero(mask)
+    # every left translate stays in as its own t = 1 translate
+    r, u, v = left // (m * m), left // m % m, left % m
+    mask[(base[r, None] + mul[u, :] * m + mul[v, :]).ravel()] = True
+    # the source node r*m + u of each translate comes out in CSR order
+    source, v = np.divmod(np.flatnonzero(mask), m)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(source, minlength=rows * m))])
+    return _row_components(indptr, source - source % m + v, rows, m)
 
 
 def principal_congruences(S, cap=300, progress=None):
-    """Distinct closures (x,y)# over all pairs, the diagonal excluded."""
+    """Distinct closures (x,y)# over all pairs, the diagonal excluded.
+
+    Pairs go in order (x ascending, then y) in blocks of EDGE_BUDGET
+    translates; only the first pair with a given seed is closed, and the
+    result lists each congruence at the first pair that generates it.
+    """
     mul = S.mul if hasattr(S, "mul") else np.asarray(S)
     m = len(mul)
     if m > cap:
         raise CapExceeded("principal congruence pass", m, cap)
-    seen = {}
-    for x in range(m):
+    mul = mul.astype(np.int32, copy=False)
+    xs, ys = np.triu_indices(m, 1)
+    step = max(1, EDGE_BUDGET // (m + 1) ** 2)
+    closed, seen = set(), {}
+    for lo in range(0, len(xs), step):
         if progress is not None:
-            progress(x, m)
-        for y in range(x + 1, m):
-            rel = EquivalenceRelation(_principal_labels(mul, x, y))
+            progress(int(xs[lo]), m)
+        for seed in _principal_seeds(mul, xs[lo:lo + step], ys[lo:lo + step]):
+            key = seed.tobytes()
+            if key in closed:
+                continue
+            closed.add(key)
+            rel = EquivalenceRelation(closure_labels(mul, seed))
             seen.setdefault(rel.key(), rel)
     return list(seen.values())
 
@@ -336,8 +417,10 @@ def enumerate_all_congruences(S, cap=300, progress=None):
     """The whole congruence lattice: principal congruences, then join closure.
 
     Joins of congruences taken in Eq(S) are again congruences, so the BFS
-    needs only partition joins; every discovered relation is nevertheless
-    re-checked against the table.
+    needs only partition joins: each frontier relation is joined with all
+    generators at once (join_with_each).  Every discovered relation is
+    nevertheless re-checked against the table, and OracleCheckFailed is
+    raised if one fails.
     """
     mul = S.mul if hasattr(S, "mul") else np.asarray(S)
     m = len(mul)
@@ -348,22 +431,26 @@ def enumerate_all_congruences(S, cap=300, progress=None):
     found = {delta.key(): delta}
     for g in gens:
         found.setdefault(g.key(), g)
-    gen_labels = [g.block_id for g in gens]
-    frontier = [g for g in gens]
+    gen_reps = np.array([_block_reps(g.block_id) for g in gens],
+                        dtype=np.int64).reshape(len(gens), m)
+    frontier = list(gens)
     while frontier:
         nxt = []
         for rel in frontier:
-            for gl in gen_labels:
-                joined = EquivalenceRelation(join_labels(rel.block_id, gl))
-                if joined.key() not in found:
-                    found[joined.key()] = joined
+            for row in join_with_each(rel.block_id, gen_reps):
+                key = row.tobytes()
+                if key not in found:
+                    joined = EquivalenceRelation(row)
+                    found[key] = joined
                     nxt.append(joined)
         frontier = nxt
         if progress is not None:
             progress(len(found), None)
     out = list(found.values())
     for rel in out:
-        assert is_congruence(rel, mul), "join closure left the congruence lattice"
+        if not is_congruence(rel, mul):
+            raise OracleCheckFailed(f"join closure left the congruence lattice: "
+                                    f"{rel.serialize()}")
     out.sort(key=lambda rel: (rel.n - rel.num_blocks(), rel.key()))
     return out
 

@@ -167,13 +167,3 @@ def hat_class(ctx, kind, f):
     labels = getattr(ctx.T.greens(), kind + "_class")[ctx.phi]
     return np.nonzero(labels == labels[f])[0].tolist()
 
-
-def phi_restrict_bijection_check(ctx, f):
-    """phi restricted to the H^P-class of f is a bijection onto an H^T-class."""
-    hp = ctx.P.greens().h_class
-    members = np.nonzero(hp == hp[f])[0]
-    images = ctx.phi[members]
-    ht = ctx.T.greens().h_class
-    target = np.nonzero(ht == ht[ctx.phi[f]])[0]
-    return len(set(images.tolist())) == len(members) and \
-        set(images.tolist()) == set(target.tolist())

@@ -162,12 +162,58 @@ def test_bad_inputs_exit_2(capsys):
 
 
 def test_output_is_deterministic(capsys):
-    _, first, _ = run(capsys, "congruences", "--a", SMALL,
-                      "--method", "structural", "--format", "json")
-    _, second, _ = run(capsys, "congruences", "--a", SMALL,
-                       "--method", "structural", "--format", "json")
-    assert first == second
-    assert first.endswith("\n")
+    for argv in (["--method", "structural"],
+                 ["--method", "both"],
+                 ["--semigroup", "image-T", "--method", "both"],
+                 ["--method", "oracle"]):
+        args = ["congruences", "--a", SMALL, *argv, "--format", "json"]
+        _, first, err = run(capsys, *args)
+        _, second, _ = run(capsys, *args)
+        assert first == second, argv
+        assert first.endswith("\n")
+        # wall-clock timings belong on stderr, never in the payload
+        assert "seconds" not in first, argv
+        assert "congruences in" in err
+
+
+def test_cap_refuses_before_the_chain_is_built(capsys, monkeypatch):
+    calls = []
+    # |T| = 4^4 follows from the sandwich, so not even the context is built
+    for target in ("varcong.malcev.malcev_chain", "varcong.cli.build_context"):
+        monkeypatch.setattr(target, lambda *a, **k: calls.append(a))
+    code, out, err = run(capsys, "congruences", "--a", "4: 1 2 3 4",
+                         "--semigroup", "image-T", "--method", "both",
+                         "--cap-elements", "100")
+    assert code == 2
+    assert "refused" in err and "256" in err
+    assert out == "" and calls == []
+
+
+def test_cap_refuses_before_the_structural_pipeline(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("varcong.cli.enumerate_structurally",
+                        lambda *a, **k: calls.append(a))
+    code, out, err = run(capsys, "congruences", "--a", SMALL,
+                         "--method", "both", "--cap-elements", "3")
+    assert code == 2
+    assert "refused" in err
+    assert out == "" and calls == []
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([[i] for i in range(10)] + [[-1]], "outside"),  # -1 must not wrap to 10
+    ([[0, 1000]], "outside"),
+    (5, "list"),
+    ({"a": 1}, "list"),
+    ([[0, "1"]], "integer"),
+])
+def test_classify_rejects_malformed_blocks(tmp_path, capsys, blocks, message):
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(blocks))
+    code, out, err = run(capsys, "classify", "--a", SMALL, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_threads_flag_is_accepted(capsys):

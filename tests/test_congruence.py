@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from varcong.congruence import (CapExceeded, EquivalenceRelation, UnionFind,
+from varcong import congruence
+from varcong.congruence import (CapExceeded, EquivalenceRelation,
+                                OracleCheckFailed, UnionFind,
+                                canonical_labels, closure_labels,
                                 congruence_closure, dump_congruences,
                                 enumerate_all_congruences,
                                 equivalence_from_matrix, is_congruence,
+                                join_labels, join_with_each,
                                 principal_congruence_count,
                                 principal_congruences)
 from varcong.semigroup import build
 from varcong.transform import all_transformations, compose
+from varcong.variant import build_context
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +38,21 @@ def test_constructors_and_canonical_labels():
         EquivalenceRelation.from_blocks(4, [[0, 1], [2]])  # 3 uncovered
     with pytest.raises(ValueError):
         EquivalenceRelation.from_blocks(4, [[0, 1], [1, 2], [3]])
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0, 1], [2], [-1]],      # would wrap to element 3
+    [[0, 1000], [1, 2, 3]],
+    [[0, 1], [2, 3.0]],
+    [[0, 1], [2, True], [3]],
+    [[0, 1], [2, [3]]],
+    5,
+    {"a": 1},
+    [0, 1, 2, 3],
+])
+def test_from_blocks_rejects_malformed_input(blocks):
+    with pytest.raises(ValueError):
+        EquivalenceRelation.from_blocks(4, blocks)
 
 
 def test_lattice_operations():
@@ -120,3 +144,97 @@ def test_cap_guard(t2):
     assert "cap" in str(exc.value)
     with pytest.raises(CapExceeded):
         principal_congruences(t2, cap=3)
+
+
+def test_oracle_check_is_not_an_assert(t2, monkeypatch):
+    """The final is_congruence sweep raises a named error, so it holds
+    under python -O as well."""
+    swap = next(i for i, f in enumerate(t2.elements) if f.images == (2, 1))
+    bad = EquivalenceRelation.from_pairs(4, [(t2.identity_index(), swap)])
+    assert not is_congruence(bad, t2)
+    monkeypatch.setattr(congruence, "join_with_each",
+                        lambda labels, reps: np.tile(bad.block_id, (len(reps), 1)))
+    with pytest.raises(OracleCheckFailed):
+        enumerate_all_congruences(t2)
+
+
+# -- the batched kernels against their one-at-a-time counterparts ----------
+
+def _principal_labels(mul, x, y):
+    """(x,y)# one pair at a time: the components of the translates
+    (sxt, syt), s, t in S^1, saturated by closure_labels."""
+    m = len(mul)
+    lx = np.concatenate([[x], mul[:, x]])
+    ly = np.concatenate([[y], mul[:, y]])
+    mx = np.concatenate([lx[:, None], mul[lx, :]], axis=1).ravel()
+    my = np.concatenate([ly[:, None], mul[ly, :]], axis=1).ravel()
+    graph = csr_matrix((np.ones(len(mx), dtype=np.int8), (mx, my)), shape=(m, m))
+    _, labels = connected_components(graph, directed=False)
+    return closure_labels(mul, labels)
+
+
+def _principal_reference(mul):
+    seen = {}
+    for x in range(len(mul)):
+        for y in range(x + 1, len(mul)):
+            rel = EquivalenceRelation(_principal_labels(mul, x, y))
+            seen.setdefault(rel.key(), rel)
+    return list(seen.values())
+
+
+def _table(name):
+    if name.startswith("T_"):
+        return build(all_transformations(int(name[2:])), compose).mul
+    return build_context(name).P.mul
+
+
+@pytest.mark.parametrize("name", ["T_1", "T_2", "T_3", "3: 1 2 2", "4: 1 1 3 3"])
+def test_principal_congruences_match_the_per_pair_pass(name):
+    mul = _table(name)
+    assert principal_congruences(mul) == _principal_reference(mul)
+
+
+@pytest.mark.parametrize("budget", [1, 97, 4096])
+def test_batch_boundaries_do_not_change_the_oracle(monkeypatch, budget):
+    mul = _table("3: 1 2 2")
+    principals = principal_congruences(mul)
+    everything = enumerate_all_congruences(mul)
+    monkeypatch.setattr(congruence, "EDGE_BUDGET", budget)
+    assert principal_congruences(mul) == principals
+    assert enumerate_all_congruences(mul) == everything
+
+
+@pytest.mark.parametrize("name", ["T_1", "1: 1"])
+def test_oracle_without_generators(name):
+    mul = _table(name)
+    assert len(mul) == 1
+    assert principal_congruences(mul) == []
+    assert enumerate_all_congruences(mul) == [EquivalenceRelation.diagonal(1)]
+    reps = np.empty((0, 1), dtype=np.int64)
+    assert join_with_each(np.zeros(1, dtype=np.int32), reps).shape == (0, 1)
+
+
+@st.composite
+def partitions(draw):
+    """A partition to join and one to six generators, on one small universe."""
+    m = draw(st.integers(1, 14))
+    count = draw(st.integers(1, 6))
+    label_lists = st.lists(st.integers(0, m - 1), min_size=m, max_size=m)
+    return [canonical_labels(draw(label_lists)) for _ in range(count + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions())
+def test_join_with_each_matches_join_labels(parts):
+    labels, gens = parts[0], parts[1:]
+    reps = np.array([congruence._block_reps(g) for g in gens])
+    rows = join_with_each(labels, reps)
+    assert rows.shape == (len(gens), len(labels))
+    assert rows.dtype == congruence.LABEL_DTYPE
+    for row, g in zip(rows, gens):
+        assert (row == join_labels(labels, g)).all()
+        assert (canonical_labels(row) == row).all()
+        # joining the result with the same generator again changes nothing
+        again = join_with_each(row, congruence._block_reps(g)[None, :])
+        assert (again[0] == row).all()
+        assert EquivalenceRelation(row).key() == row.tobytes()
