@@ -12,9 +12,9 @@ import json
 import sys
 import time
 
-from .congruence import (CapExceeded, EquivalenceRelation, OracleCheckFailed,
-                         dump_congruences, enumerate_all_congruences,
-                         is_congruence)
+from .congruence import (CapExceeded, EquivalenceRelation, NotPermutable,
+                         OracleCheckFailed, dump_congruences,
+                         enumerate_all_congruences, is_congruence)
 from .lattice import FiniteLattice, height_formula
 from .malcev import context_chain
 from .semigroup import eggbox_dot, eggbox_text
@@ -27,7 +27,7 @@ class RunConfig:
     """Validated bundle of the common CLI options."""
 
     def __init__(self, a_text, cap_elements=300, cap_systems=10 ** 7,
-                 out=None, fmt="text", threads=None):
+                 out=None, fmt="text"):
         self.sandwich = parse_transformation(a_text)
         if cap_elements <= 0 or cap_systems <= 0:
             raise ValueError("caps must be positive")
@@ -35,7 +35,6 @@ class RunConfig:
         self.cap_systems = cap_systems
         self.out = out
         self.fmt = fmt
-        self.threads = threads
 
     def context(self):
         # the context tabulates all n^n maps, so bound that grid up front
@@ -254,9 +253,6 @@ def _build_parser():
     common.add_argument("--format", choices=["json", "dot", "text"],
                         default="text", dest="fmt")
     common.add_argument("--out", help="output path (prefix for eggbox)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker cap; accepted for compatibility, the "
-                             "pipelines are single-process")
 
     parser = argparse.ArgumentParser(
         prog="varcong",
@@ -292,7 +288,7 @@ def main(argv=None):
     try:
         cfg = RunConfig(args.a, cap_elements=args.cap_elements,
                         cap_systems=args.cap_systems, out=args.out,
-                        fmt=args.fmt, threads=args.threads)
+                        fmt=args.fmt)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -311,7 +307,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OracleCheckFailed as exc:
+    except (OracleCheckFailed, NotPermutable) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command}")

@@ -2,20 +2,21 @@
 
 An equivalence is stored as a canonical block-label array: block ids are
 numbered by first occurrence, so two equal partitions have identical
-arrays and the bytes of the array serve as a hash key.
+arrays and the bytes of the array serve as a hash key.  Every partition
+generated by pairs (joins, images, closures) comes out of one numpy
+connected-components kernel (components, and _row_components for k
+disjoint copies of a universe).
 
 The oracle (enumerate_all_congruences) knows nothing about the structure
 theory implemented elsewhere: it computes principal congruences by
 saturation against the full multiplication table and closes the set under
 binary joins.  Both phases work on stacks of label arrays: the seeds of a
 block of pairs, and the joins of one relation with every generator, each
-come out of one connected-components call on a graph whose k*m nodes are k
-disjoint copies of the universe (see _row_components).
+come out of one kernel call on a graph whose k*m nodes are k disjoint
+copies of the universe.
 """
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 LABEL_DTYPE = np.int32
 
@@ -31,30 +32,43 @@ def canonical_labels(labels):
     return new_id[inv].astype(LABEL_DTYPE)
 
 
-class UnionFind:
-    """Plain union-find with path halving, no ranks (unions are few here)."""
+def _row_components(rows, m, src, dst):
+    """Components of an undirected graph on rows*m nodes, as a (rows, m) array.
 
-    def __init__(self, n):
-        self.parent = list(range(n))
+    Node r*m + x stands for element x in row r, and every edge src[e] --
+    dst[e] stays inside one row.  Row r of the result is the canonical
+    label array of the components within row r.
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+    Each round hooks the larger root of every edge that still joins two
+    trees onto the smaller one, then jumps pointers until each node points
+    at its root.  A node only ever points at a smaller one, so the root of
+    a component is its least node, and the roots come in first-occurrence
+    order.
+    """
+    root = np.arange(rows * m)
+    a, b = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    while True:
+        keep = a != b
+        if not np.count_nonzero(keep):
+            break
+        hi, lo = np.maximum(a[keep], b[keep]), np.minimum(a[keep], b[keep])
+        root[hi] = lo
+        while True:
+            up = root[root]
+            if not np.count_nonzero(up != root):
+                break
+            root = up
+        a, b = root[hi], root[lo]
+    rep = root.reshape(rows, m) - m * np.arange(rows)[:, None]
+    block_no = (rep == np.arange(m)).cumsum(axis=1, dtype=LABEL_DTYPE) - 1
+    return np.take_along_axis(block_no, rep, axis=1)
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
 
-    def labels(self):
-        return canonical_labels([self.find(x) for x in range(len(self.parent))])
+def components(n, src, dst):
+    """Canonical labels of the components of the graph with edges src--dst:
+    each block is named by its least element, hence numbered by first
+    occurrence."""
+    return _row_components(1, n, src, dst)[0]
 
 
 class EquivalenceRelation:
@@ -80,10 +94,8 @@ class EquivalenceRelation:
 
     @staticmethod
     def from_pairs(n, pairs):
-        uf = UnionFind(n)
-        for x, y in pairs:
-            uf.union(x, y)
-        return EquivalenceRelation(uf.labels())
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        return EquivalenceRelation(components(n, pairs[:, 0], pairs[:, 1]))
 
     @staticmethod
     def from_blocks(n, blocks):
@@ -151,6 +163,37 @@ class EquivalenceRelation:
             raise ValueError("universe mismatch")
         return EquivalenceRelation(join_labels(self.block_id, other.block_id))
 
+    def permuting_join(self, other):
+        """The join self v other, checked to equal the product self o other.
+
+        The product is the join exactly when, inside each class of the
+        join, every block of self meets every block of other.  That is a
+        count in label space: the distinct (self-block, other-block) pairs
+        in each join class against the product of its block counts.
+        NotPermutable names a join class and two blocks in it that do not
+        meet.
+        """
+        if self.n != other.n:
+            raise ValueError("universe mismatch")
+        a, b = self.block_id, other.block_id
+        joined = EquivalenceRelation(join_labels(a, b))
+        j = joined.block_id
+        # the join class of each block of self, and of each block of other
+        ja, jb = j[first_occurrence(a)], j[first_occurrence(b)]
+        k, kb = joined.num_blocks(), len(jb)
+        met = np.unique(a.astype(np.int64) * kb + b)   # block pairs that meet
+        short = (np.bincount(ja[met // kb], minlength=k)
+                 < np.bincount(ja, minlength=k) * np.bincount(jb, minlength=k))
+        if np.count_nonzero(short):
+            c, met = np.flatnonzero(short)[0], set(met.tolist())
+            p, q = next((p, q) for p in np.flatnonzero(ja == c)
+                        for q in np.flatnonzero(jb == c) if p * kb + q not in met)
+            raise NotPermutable(
+                f"composition is not the join: in the join class of element "
+                f"{np.flatnonzero(j == c)[0]}, the block {self.blocks()[p]} of "
+                f"the first and {other.blocks()[q]} of the second do not meet")
+        return joined
+
     def compose(self, other):
         """Relational product as a boolean matrix; not an equivalence in general."""
         if self.n != other.n:
@@ -174,11 +217,8 @@ class EquivalenceRelation:
     def image_under(self, mapping, target_size):
         """Equivalence on the target generated by the pushed-forward pairs."""
         mapping = np.asarray(mapping)
-        uf = UnionFind(target_size)
-        reps = first_occurrence(self.block_id)
-        for x in range(self.n):
-            uf.union(int(mapping[x]), int(mapping[reps[self.block_id[x]]]))
-        return EquivalenceRelation(uf.labels())
+        return EquivalenceRelation(components(target_size, mapping,
+                                              mapping[_block_reps(self.block_id)]))
 
     def to_blocks(self):
         return sorted(sorted(b) for b in self.blocks())
@@ -203,26 +243,9 @@ def _block_reps(labels):
 def join_labels(b1, b2):
     """Join of two partitions given as label arrays, as canonical labels."""
     n = len(b1)
-    uf = UnionFind(n)
-    reps1 = first_occurrence(b1)
-    reps2 = first_occurrence(np.asarray(b2))
-    for x in range(n):
-        uf.union(x, int(reps1[b1[x]]))
-        uf.union(x, int(reps2[b2[x]]))
-    return uf.labels()
-
-
-def equivalence_from_matrix(matrix, check=True):
-    """The matrix must already be an equivalence; its labels are returned."""
-    m = np.asarray(matrix, dtype=bool)
-    uf = UnionFind(len(m))
-    xs, ys = np.nonzero(m)
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        uf.union(x, y)
-    rel = EquivalenceRelation(uf.labels())
-    if check and not (m == rel.matrix()).all():
-        raise ValueError("matrix is not an equivalence relation")
-    return rel
+    ends = np.arange(n)
+    return components(n, np.concatenate([ends, ends]),
+                      np.concatenate([_block_reps(b1), _block_reps(np.asarray(b2))]))
 
 
 class CapExceeded(RuntimeError):
@@ -230,6 +253,10 @@ class CapExceeded(RuntimeError):
         super().__init__(f"{what}: size {size} exceeds cap {cap}")
         self.size = size
         self.cap = cap
+
+
+class NotPermutable(RuntimeError):
+    """Two equivalences whose relational product is not their join."""
 
 
 class OracleCheckFailed(RuntimeError):
@@ -274,12 +301,9 @@ def closure_labels(mul, labels):
         bad = _violation_pairs(mul, labels)
         if bad is None:
             return labels
-        k = int(labels.max()) + 1
-        uf = UnionFind(k)
-        for p, q in bad.tolist():
-            uf.union(p, q)
-        remap = np.array([uf.find(b) for b in range(k)], dtype=LABEL_DTYPE)
-        labels = canonical_labels(remap[labels])
+        # merged blocks keep the order of their least labels, so the
+        # pulled-back labels are canonical again
+        labels = components(int(labels.max()) + 1, bad[:, 0], bad[:, 1])[labels]
 
 
 def congruence_closure(S, pairs=(), start=None):
@@ -290,43 +314,17 @@ def congruence_closure(S, pairs=(), start=None):
         labels = np.arange(m, dtype=LABEL_DTYPE)
     else:
         labels = start.block_id
-    pairs = list(pairs)
-    if pairs:
-        uf = UnionFind(m)
-        reps = first_occurrence(labels)
-        for x in range(m):
-            uf.union(x, int(reps[labels[x]]))
-        for x, y in pairs:
-            uf.union(int(x), int(y))
-        labels = uf.labels()
+    pairs = np.asarray(list(pairs), dtype=np.intp).reshape(-1, 2)
+    if len(pairs):
+        labels = components(m, np.concatenate([np.arange(m), pairs[:, 0]]),
+                            np.concatenate([_block_reps(labels), pairs[:, 1]]))
     return EquivalenceRelation(closure_labels(mul, labels))
 
 
-# Edges per connected-components call in the batched oracle.  csgraph keeps
-# about 40 bytes per edge (int32 ends, CSR copies, a float64 copy of the
-# data), so a full call peaks near 6 MB, whatever the semigroup.
+# Edges per kernel call in the batched oracle.  The kernel keeps about 55
+# bytes per edge (int64 ends, and the edges still crossing two trees with
+# their roots), so a full call peaks near 7 MB, whatever the semigroup.
 EDGE_BUDGET = 1 << 17
-
-
-def _row_components(indptr, targets, rows, m):
-    """Partitions cut out by a graph on rows*m nodes, as a (rows, m) array.
-
-    Node r*m + x stands for element x in row r, and every edge stays inside
-    one row; the edges out of node i go to targets[indptr[i]:indptr[i+1]]
-    (the CSR layout, built by the callers without a sort).  Row r of the
-    result is the canonical label array of the components within row r:
-    each block is named by its least element, and blocks are numbered by
-    first occurrence, so nothing depends on the order in which csgraph
-    numbers its components.
-    """
-    n = rows * m
-    graph = csr_matrix((np.ones(len(targets)), targets, indptr), shape=(n, n))
-    count, comp = connected_components(graph, directed=False)
-    least = np.full(count, n, dtype=np.int64)
-    np.minimum.at(least, comp, np.arange(n))
-    rep = least[comp].reshape(rows, m) - np.arange(0, n, m)[:, None]
-    block_no = np.cumsum(rep == np.arange(m), axis=1) - 1
-    return np.take_along_axis(block_no, rep, axis=1).astype(LABEL_DTYPE)
 
 
 def join_with_each(labels, reps):
@@ -335,7 +333,7 @@ def join_with_each(labels, reps):
     `reps` is (k, m): reps[i, x] is the least element of the block of x in
     partition i (see _block_reps).  Row i is the canonical label array of
     labels v partition i.  Generators are taken in chunks of EDGE_BUDGET
-    edges, one connected-components call per chunk.
+    edges, one kernel call per chunk.
     """
     k, m = reps.shape
     own = _block_reps(labels)
@@ -347,9 +345,10 @@ def join_with_each(labels, reps):
         offset = np.arange(0, rows * m, m)[:, None]
         # two edges out of each node: to its block's least element in the
         # generator and in `labels`
-        targets = np.stack([chunk + offset, own + offset], axis=2).ravel()
-        indptr = np.arange(0, 2 * rows * m + 1, 2)
-        out.append(_row_components(indptr, targets, rows, m))
+        nodes = np.arange(rows * m)
+        out.append(_row_components(rows, m, np.concatenate([nodes, nodes]),
+                                   np.concatenate([(chunk + offset).ravel(),
+                                                   (own + offset).ravel()])))
     return np.concatenate(out) if out else np.empty((0, m), dtype=LABEL_DTYPE)
 
 
@@ -375,10 +374,9 @@ def _principal_seeds(mul, xs, ys):
     # every left translate stays in as its own t = 1 translate
     r, u, v = left // (m * m), left // m % m, left % m
     mask[(base[r, None] + mul[u, :] * m + mul[v, :]).ravel()] = True
-    # the source node r*m + u of each translate comes out in CSR order
+    # translate (u, v) of pair r is the edge r*m + u -- r*m + v
     source, v = np.divmod(np.flatnonzero(mask), m)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(source, minlength=rows * m))])
-    return _row_components(indptr, source - source % m + v, rows, m)
+    return _row_components(rows, m, source, source - source % m + v)
 
 
 def principal_congruences(S, cap=300, progress=None):

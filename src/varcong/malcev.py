@@ -9,7 +9,7 @@ by |N|, with the universal congruence on top.
 
 import numpy as np
 
-from .congruence import (EquivalenceRelation, UnionFind, congruence_closure,
+from .congruence import (EquivalenceRelation, components, congruence_closure,
                          is_congruence)
 from .transform import rank as t_rank
 
@@ -145,12 +145,11 @@ def rees_with_group(S, q, N, check=True):
         raise ValueError(f"q={q} out of range")
     ideal = np.nonzero(ranks < q)[0]
     d_q = np.nonzero(ranks == q)[0]
-    uf = UnionFind(len(S))
-    for x in ideal[1:]:
-        uf.union(int(ideal[0]), int(x))
-    for x, y in nu_N(S, d_q, N):
-        uf.union(int(x), int(y))
-    rel = EquivalenceRelation(uf.labels())
+    nu = nu_N(S, d_q, N)
+    # the ideal as one path, then the pairs of nu_N
+    rel = EquivalenceRelation(components(
+        len(S), np.concatenate([ideal[:-1], nu[:, 0]]),
+        np.concatenate([ideal[1:], nu[:, 1]])))
     if check:
         assert is_congruence(rel, S), "R(I,N) failed the congruence check"
     return rel

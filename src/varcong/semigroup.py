@@ -7,6 +7,8 @@ here assumes the elements are transformations, though the egg-box export
 orders D-classes by transformation rank when they are.
 """
 
+from functools import cached_property
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -106,7 +108,7 @@ def _scc_labels(m, src, dst):
 
 class GreenStructure:
     def __init__(self, mul):
-        mul = np.asarray(mul)
+        mul = self._mul = np.asarray(mul)
         m = len(mul)
         all_idx = np.arange(m)
         col_src = np.tile(all_idx, m)      # entry (s, x) of mul: product s*x
@@ -121,23 +123,25 @@ class GreenStructure:
             m, np.concatenate([col_src, row_src]), np.concatenate([flat, flat]))
         assert (j_class == self.d_class).all(), "D differs from J on a finite semigroup"
         self.num_d = int(self.d_class.max()) + 1 if m else 0
-        self.d_order = self._d_order(mul)
         self.group_h = np.zeros(int(self.h_class.max()) + 1 if m else 0, dtype=bool)
         idem = np.nonzero(mul[all_idx, all_idx] == all_idx)[0]
         self.group_h[self.h_class[idem]] = True
 
-    def _d_order(self, mul):
-        """leq[i, j] true iff D-class i lies below D-class j (i in the ideal of j)."""
-        k = self.num_d
-        leq = np.eye(k, dtype=bool)
-        step = np.zeros((k, k), dtype=bool)
-        d = self.d_class
-        step[d[mul.ravel()], np.tile(d, len(mul))] = True   # s*x below x
-        step[d[mul.ravel()], np.repeat(d, len(mul))] = True  # x*s below x
+    @cached_property
+    def d_order(self):
+        """leq[i, j] true iff D-class i lies below D-class j (i in the ideal of j).
+
+        The one-step order is closed by squaring in float32: numpy's bool
+        matmul has no BLAS, and path counts stay below 2^24, hence exact.
+        """
+        mul, d = self._mul, self.d_class
+        leq = np.eye(self.num_d, dtype=np.float32)
+        leq[d[mul.ravel()], np.tile(d, len(mul))] = 1   # s*x below x
+        leq[d[mul.ravel()], np.repeat(d, len(mul))] = 1  # x*s below x
         while True:
-            nxt = leq | (step @ leq)
+            nxt = (leq @ leq > 0).astype(np.float32)
             if (nxt == leq).all():
-                return leq
+                return leq > 0
             leq = nxt
 
     def classes_of(self, kind):
@@ -226,8 +230,8 @@ def eggbox_dot(S, name="eggbox"):
         lines.append(f"  d{d} [label={label}];")
     # Hasse edges of the ideal order, drawn upper class -> lower class
     leq = S.greens().d_order
-    strict = leq & ~np.eye(len(leq), dtype=bool)
-    covers = strict & ~(strict @ strict)
+    strict = (leq & ~np.eye(len(leq), dtype=bool)).astype(np.float32)
+    covers = (strict > 0) & ~(strict @ strict > 0)   # float32 for BLAS, as in d_order
     for lo, hi in sorted(zip(*np.nonzero(covers))):
         lines.append(f"  d{hi} -> d{lo};")
     lines.append("}")

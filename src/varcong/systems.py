@@ -17,7 +17,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .congruence import CapExceeded, EquivalenceRelation, UnionFind, is_congruence
+from .congruence import (CapExceeded, EquivalenceRelation, components,
+                         first_occurrence, is_congruence)
 from .lattice import bell
 
 
@@ -322,16 +323,20 @@ def _extract(ctx, theta, family, bound, make):
     if not theta.leq(bound):
         raise ValueError("congruence not inside the expected interval")
     assert is_congruence(theta, ctx.P)
-    forests = {key: UnionFind(len(family.members[key]))
-               for key in family.members}
-    slot_of = np.empty(len(ctx.P), dtype=np.int64)
-    for slots in family.class_elems:
-        slot_of[slots] = np.arange(len(slots))
-    for cls in theta.blocks():
-        uf = forests[family.elem_keys[cls[0]]]
-        for f, g in zip(cls, cls[1:]):
-            uf.union(int(slot_of[f]), int(slot_of[g]))
-    psi = {key: EquivalenceRelation(uf.labels()) for key, uf in forests.items()}
+    # one node per (index key, slot): the slots of every key side by side
+    offset, start = {}, 0
+    for key, members in family.members.items():
+        offset[key] = start
+        start += len(members)
+    node = np.empty(len(ctx.P), dtype=np.int64)
+    for key, slots in zip(family.class_keys, family.class_elems):
+        node[slots] = offset[key] + np.arange(len(slots))
+    # theta <= bound, so each element and its block's least element share
+    # a class of `bound`, hence an index key
+    reps = first_occurrence(theta.block_id)[theta.block_id]
+    labels = components(start, node, node[reps])
+    psi = {key: EquivalenceRelation(labels[offset[key]:offset[key] + len(members)])
+           for key, members in family.members.items()}
     system = make(family, psi)
     # every class of `bound` must be cut by the family exactly along theta
     for key, slots in zip(family.class_keys, family.class_elems):
@@ -354,17 +359,13 @@ def psi_extract_lambda(ctx, theta):
 
 
 def _assemble(ctx, system, family, bound):
-    uf = UnionFind(len(ctx.P))
+    # each class of `bound` is cut along the relation of its index key
+    labels = np.empty(len(ctx.P), dtype=np.int64)
+    start = 0
     for key, slots in zip(family.class_keys, family.class_elems):
-        rel = system.psi[key]
-        reps = {}
-        for c, f in enumerate(slots):
-            b = int(rel.block_id[c])
-            if b in reps:
-                uf.union(int(f), reps[b])
-            else:
-                reps[b] = int(f)
-    theta = EquivalenceRelation(uf.labels())
+        labels[slots] = start + system.psi[key].block_id
+        start += len(slots)
+    theta = EquivalenceRelation(labels)
     assert theta.leq(bound)
     assert is_congruence(theta, ctx.P)
     return theta

@@ -12,8 +12,6 @@ rows of all n^n maps are ordered lexicographically, so a map's row-major
 code is its index in the full enumeration.
 """
 
-import json
-
 import numpy as np
 
 from .congruence import EquivalenceRelation, is_congruence
@@ -27,6 +25,16 @@ def _image_matrix(n):
     # oversized n fails fast instead of grinding through a Python product
     grids = np.meshgrid(*([np.arange(n, dtype=np.int16)] * n), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _star_table(rows, A, lut):
+    """Sandwich products of the maps `rows`: entry (i, j) is lut at the code
+    of rows[i], then a (0-based images A), then rows[j]."""
+    powers = rows.shape[1] ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    mul = np.empty((len(rows), len(rows)), dtype=np.int32)
+    for i in range(len(rows)):
+        mul[i] = lut[rows[:, A[rows[i]]].astype(np.int64) @ powers]
+    return mul
 
 
 def _row_ranks(rows):
@@ -48,7 +56,7 @@ class VariantContext:
         E = _image_matrix(n)
         m = len(E)
         powers = (n ** np.arange(n - 1, -1, -1)).astype(np.int64)
-        A = np.array([sand.a.images[x] - 1 for x in range(n)], dtype=np.int16)
+        A = np.array(sand.a.images, dtype=np.int16) - 1
 
         afa = A[E[:, A]]                      # row f holds the images of afa
         p_mask = _row_ranks(afa) == _row_ranks(E)
@@ -58,13 +66,8 @@ class VariantContext:
         lut = np.full(m, -1, dtype=np.int64)
         lut[p_elems] = np.arange(mP)
 
-        mulP = np.empty((mP, mP), dtype=np.int32)
-        for i in range(mP):
-            fa = A[EP[i]]                      # f_i then a
-            codes = EP[:, fa].astype(np.int64) @ powers
-            row = lut[codes]
-            assert (row >= 0).all(), "star product left the regular part"
-            mulP[i] = row
+        mulP = _star_table(EP, A, lut)
+        assert (mulP >= 0).all(), "star product left the regular part"
 
         afa_codes = afa.astype(np.int64) @ powers
         t_codes = np.unique(afa_codes)
@@ -115,9 +118,8 @@ class VariantContext:
         assert is_congruence(self.lam, mulP)
         assert is_congruence(self.rho, mulP)
         assert self.lam.meet(self.rho) == EquivalenceRelation.diagonal(len(mulP))
-        km = self.kappa.matrix()
-        assert (self.lam.compose(self.rho) == km).all()
-        assert (self.rho.compose(self.lam) == km).all()
+        # lam o rho = kappa; it then equals rho o lam, its own transpose
+        assert self.lam.permuting_join(self.rho) == self.kappa
 
     def __repr__(self):
         return (f"VariantContext(a={format_transformation(self.sand.a)}, "
@@ -126,16 +128,9 @@ class VariantContext:
     def txa(self, check=True):
         """The full variant semigroup on all n^n maps (built on demand)."""
         if not hasattr(self, "_txa"):
-            n = self.n
-            E = _image_matrix(n)
-            m = len(E)
-            powers = (n ** np.arange(n - 1, -1, -1)).astype(np.int64)
-            A = np.array([self.sand.a.images[x] - 1 for x in range(n)],
-                         dtype=np.int16)
-            mul = np.empty((m, m), dtype=np.int32)
-            for i in range(m):
-                fa = A[E[i]]
-                mul[i] = E[:, fa].astype(np.int64) @ powers
+            E = _image_matrix(self.n)
+            A = np.array(self.sand.a.images, dtype=np.int16) - 1
+            mul = _star_table(E, A, np.arange(len(E), dtype=np.int32))
             tag = f"sandwich({format_transformation(self.sand.a)})"
             elems = [Transformation(int(x) + 1 for x in row) for row in E]
             self._txa = FiniteSemigroup(elems, mul, op_tag=tag, check=check)
@@ -149,9 +144,6 @@ class VariantContext:
             "P_size": len(self.P),
             "T_size": len(self.T),
         }
-
-    def summary_json(self):
-        return json.dumps(self.summary(), sort_keys=True)
 
 
 def build_context(a, check=True):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from varcong.cli import main
+from varcong.congruence import EquivalenceRelation, NotPermutable
 from varcong.variant import build_context
 
 SMALL = "3: 1 2 2"
@@ -153,6 +154,15 @@ def test_classify_rejects_non_congruence(tmp_path, capsys):
     assert "not a congruence" in err and "translation" in err
 
 
+def test_failed_permutability_check_exits_1(capsys, monkeypatch):
+    def refuse(self, other):
+        raise NotPermutable("composition is not the join")
+    monkeypatch.setattr(EquivalenceRelation, "permuting_join", refuse)
+    code, out, err = run(capsys, "height", "--a", SMALL)
+    assert code == 1
+    assert out == "" and err.startswith("check failed: composition")
+
+
 def test_bad_inputs_exit_2(capsys):
     assert run(capsys, "height", "--a", "nope")[0] == 2
     assert run(capsys, "height", "--a", "3: 1 2 9")[0] == 2
@@ -214,10 +224,3 @@ def test_classify_rejects_malformed_blocks(tmp_path, capsys, blocks, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
-
-
-def test_threads_flag_is_accepted(capsys):
-    code, out, _ = run(capsys, "height", "--a", SMALL, "--threads", "4",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["match"] is True

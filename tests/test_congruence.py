@@ -7,11 +7,10 @@ from scipy.sparse.csgraph import connected_components
 
 from varcong import congruence
 from varcong.congruence import (CapExceeded, EquivalenceRelation,
-                                OracleCheckFailed, UnionFind,
-                                canonical_labels, closure_labels,
+                                NotPermutable, OracleCheckFailed,
+                                canonical_labels, closure_labels, components,
                                 congruence_closure, dump_congruences,
-                                enumerate_all_congruences,
-                                equivalence_from_matrix, is_congruence,
+                                enumerate_all_congruences, is_congruence,
                                 join_labels, join_with_each,
                                 principal_congruence_count,
                                 principal_congruences)
@@ -71,9 +70,6 @@ def test_compose_and_matrix():
     m = x.compose(y)
     assert m[0, 2] and not m[2, 0]  # one-step relational composition
     assert (x.matrix() == x.matrix().T).all()
-    assert equivalence_from_matrix(x.matrix()) == x
-    with pytest.raises(ValueError):
-        equivalence_from_matrix(m)
 
 
 def test_restrict_and_image_under():
@@ -84,11 +80,8 @@ def test_restrict_and_image_under():
     assert push.num_blocks() == 2  # 4~5 forces 1~2 downstairs
 
 
-def test_union_find_labels():
-    uf = UnionFind(5)
-    uf.union(0, 4)
-    uf.union(4, 2)
-    rel = EquivalenceRelation(uf.labels())
+def test_components_labels():
+    rel = EquivalenceRelation(components(5, [0, 4], [4, 2]))
     assert rel.to_blocks() == [[0, 2, 4], [1], [3]]
 
 
@@ -238,3 +231,119 @@ def test_join_with_each_matches_join_labels(parts):
         again = join_with_each(row, congruence._block_reps(g)[None, :])
         assert (again[0] == row).all()
         assert EquivalenceRelation(row).key() == row.tobytes()
+
+
+# -- the components kernel and the permutability predicate ------------------
+
+def _csgraph_labels(n, src, dst):
+    graph = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+    return canonical_labels(connected_components(graph, directed=False)[1])
+
+
+@st.composite
+def graphs(draw, max_nodes=16):
+    n = draw(st.integers(0, max_nodes))
+    node = st.integers(0, n - 1) if n else st.nothing()
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    return n, src, dst
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_components_matches_csgraph(graph):
+    n, src, dst = graph
+    labels = components(n, src, dst)
+    assert labels.shape == (n,) and labels.dtype == congruence.LABEL_DTYPE
+    if n:
+        assert (labels == _csgraph_labels(n, src, dst)).all()
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_components_without_edges(n):
+    none = np.empty(0, dtype=np.int64)
+    assert (components(n, none, none) == np.arange(n)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), graphs(max_nodes=8))
+def test_row_components_are_per_row_components(rows, graph):
+    m, src, dst = graph
+    row = np.arange(len(src)) % rows * m     # spread the edges over the rows
+    out = congruence._row_components(rows, m, row + src, row + dst)
+    assert out.shape == (rows, m)
+    for r in range(rows):
+        mine = row == r * m
+        assert (out[r] == components(m, src[mine], dst[mine])).all()
+
+
+def _partition(draw, m):
+    return EquivalenceRelation(draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)))
+
+
+@st.composite
+def partition_pairs(draw):
+    m = draw(st.integers(1, 10))
+    a, b = _partition(draw, m), _partition(draw, m)
+    if draw(st.booleans()):
+        b = a.meet(b)       # a refinement always permutes with a
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_pairs())
+def test_permuting_join_matches_the_composition(pair):
+    a, b = pair
+    if (a.compose(b) == a.join(b).matrix()).all():
+        assert a.permuting_join(b) == a.join(b)
+        assert b.permuting_join(a) == a.join(b)
+    else:
+        with pytest.raises(NotPermutable, match="do not meet"):
+            a.permuting_join(b)
+
+
+def test_permuting_join_names_the_blocks():
+    a = EquivalenceRelation.from_pairs(3, [(0, 1)])
+    b = EquivalenceRelation.from_pairs(3, [(1, 2)])
+    message = r"element 0, the block \[2\] of the first and \[0\] of the second"
+    with pytest.raises(NotPermutable, match=message):
+        a.permuting_join(b)
+    with pytest.raises(ValueError):
+        a.permuting_join(EquivalenceRelation.diagonal(4))
+
+
+@st.composite
+def partition_triples(draw):
+    m = draw(st.integers(1, 9))
+    return tuple(_partition(draw, m) for _ in range(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_triples())
+def test_lattice_laws(triple):
+    x, y, z = triple
+    m = x.n
+    assert x.meet(y) == y.meet(x) and x.join(y) == y.join(x)
+    assert x.meet(y.meet(z)) == x.meet(y).meet(z)
+    assert x.join(y.join(z)) == x.join(y).join(z)
+    assert x.meet(x.join(y)) == x and x.join(x.meet(y)) == x
+    assert x.meet(x) == x and x.join(x) == x
+    assert x.leq(y) == (x.meet(y) == x) == (x.join(y) == y)
+    assert x.meet(y).leq(x) and x.leq(x.join(y))
+    assert EquivalenceRelation.diagonal(m).leq(x) and x.leq(EquivalenceRelation.universal(m))
+    # the join is the least upper bound among the three
+    if x.leq(z) and y.leq(z):
+        assert x.join(y).leq(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 40), max_size=20), st.randoms(use_true_random=False))
+def test_canonical_labels_is_idempotent(labels, rnd):
+    once = canonical_labels(np.array(labels, dtype=np.int64))
+    assert (canonical_labels(once) == once).all()
+    # renaming the blocks changes nothing
+    names = list(range(100))
+    rnd.shuffle(names)
+    renamed = np.array([names[v + 5] for v in labels], dtype=np.int64)
+    assert (canonical_labels(renamed) == once).all()

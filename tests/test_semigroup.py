@@ -4,6 +4,7 @@ import pytest
 from varcong.semigroup import (FiniteSemigroup, build, eggbox, eggbox_dot,
                                eggbox_text)
 from varcong.transform import all_transformations, compose, identity, rank
+from varcong.variant import build_context
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +81,26 @@ def test_eggbox_renderings(t3):
     assert dot.startswith("digraph t3 {")
     assert dot.rstrip().endswith("}")
     assert dot.count("<TABLE") == 3
+
+
+@pytest.mark.parametrize("sandwich", [None, "3: 1 2 2", "4: 1 1 3 3"])
+def test_d_order_matches_the_stepwise_closure(sandwich):
+    if sandwich is None:
+        S = build(all_transformations(3), compose)
+    else:
+        S = build_context(sandwich).txa()
+    g = S.greens()
+    assert "d_order" not in vars(g)       # built only when read
+    # reference: one boolean step at a time, to the reflexive-transitive closure
+    d, mul = g.d_class, S.mul
+    step = np.zeros((g.num_d, g.num_d), dtype=bool)
+    step[d[mul.ravel()], np.tile(d, len(mul))] = True
+    step[d[mul.ravel()], np.repeat(d, len(mul))] = True
+    leq = np.eye(g.num_d, dtype=bool)
+    while True:
+        nxt = leq | (step @ leq)
+        if (nxt == leq).all():
+            break
+        leq = nxt
+    assert g.d_order.dtype == bool
+    assert (g.d_order == leq).all()

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from varcong.congruence import EquivalenceRelation, is_congruence
-from varcong.malcev import context_chain, rank_of_theta, rank_of_xi
+from varcong.congruence import EquivalenceRelation, NotPermutable, is_congruence
+from varcong.malcev import (context_chain, kappa_q_list, lift_sharp,
+                            rank_of_theta, rank_of_xi)
 from varcong.synthesis import (CongDecomposition, classify,
                                enumerate_structurally, fuse, kappa_fuse,
                                kappa_split, lattice_dot, lattice_json, split)
@@ -40,6 +41,33 @@ def test_kappa_split_and_fuse(headline_ctx):
     assert kappa_fuse(ctx, th1, th2) == ctx.kappa
     with pytest.raises(ValueError):
         kappa_split(ctx, ctx.l_rel)  # not below kappa
+
+
+def test_fuse_and_kappa_fuse_raise_when_the_parts_do_not_permute(headline_ctx):
+    ctx = headline_ctx
+    m = len(ctx.P)
+    # x lam y rho z gives (x, z) in th1 o th2 but not (z, x)
+    lam, rho = ctx.lam.blocks(), ctx.rho.blocks()
+    y = next(y for y in range(m) if len(lam[ctx.lam.block_id[y]]) > 1
+             and len(rho[ctx.rho.block_id[y]]) > 1)
+    x = next(x for x in lam[ctx.lam.block_id[y]] if x != y)
+    z = next(z for z in rho[ctx.rho.block_id[y]] if z != y)
+    th1 = EquivalenceRelation.from_pairs(m, [(x, y)])
+    th2 = EquivalenceRelation.from_pairs(m, [(y, z)])
+    assert not (th1.compose(th2) == th1.join(th2).matrix()).all()
+    with pytest.raises(NotPermutable):
+        kappa_fuse(ctx, th1, th2)
+    # the rank-1 ideal collapsed by xi, tied to one element outside it
+    xi = context_chain(ctx).relations()[1]
+    lifted = lift_sharp(ctx, xi)
+    ideal = next(b for b in lifted.blocks() if len(b) > 1)
+    outside = min(set(range(m)) - set(ideal))
+    theta = kappa_q_list(ctx)[1].join(
+        EquivalenceRelation.from_pairs(m, [(ideal[0], outside)]))
+    assert rank_of_xi(ctx.T, xi) <= rank_of_theta(ctx, theta)
+    assert not (lifted.compose(theta) == lifted.join(theta).matrix()).all()
+    with pytest.raises(NotPermutable):
+        fuse(ctx, xi, theta)
 
 
 def test_classify_kappa(headline_ctx):
