@@ -249,7 +249,9 @@ def _build_parser():
     common.add_argument("--cap-elements", type=int, default=300,
                         help="largest semigroup the oracle will tabulate")
     common.add_argument("--cap-systems", type=int, default=10 ** 7,
-                        help="guard on the equivalence-family search space")
+                        help="bound on the n^n map grid, the system search "
+                             "space and the k*k order matrix of the "
+                             "structural lattice")
     common.add_argument("--format", choices=["json", "dot", "text"],
                         default="text", dest="fmt")
     common.add_argument("--out", help="output path (prefix for eggbox)")

@@ -26,6 +26,23 @@ def bell(r):
     return sum(stirling2(r, q) for q in range(r + 1))
 
 
+COVER_BLOCK = 1 << 16  # floats in one row block of the strict order's square
+
+
+def hasse_covers(leq):
+    """Covers of a partial order given as a k*k bool matrix: i < j with
+    nothing strictly between.  The strict order is squared in float32, for
+    BLAS (numpy's bool matmul has none; path counts stay below 2^24, hence
+    exact), one block of rows at a time so the product stays small."""
+    k = len(leq)
+    covers = leq & ~np.eye(k, dtype=bool)
+    strict = covers.astype(np.float32)
+    step = max(1, COVER_BLOCK // max(k, 1))
+    for lo in range(0, k, step):
+        covers[lo:lo + step] &= ~(strict[lo:lo + step] @ strict > 0)
+    return covers
+
+
 class FiniteLattice:
     """A finite lattice of equivalence relations ordered by refinement."""
 
@@ -41,8 +58,7 @@ class FiniteLattice:
         for i, rel in enumerate(self.nodes):
             reps = first_occurrence(rel.block_id)
             self.leq[i] = (stacked == stacked[:, reps[rel.block_id]]).all(axis=1)
-        strict = self.leq & ~np.eye(k, dtype=bool)
-        self.covers = strict & ~(strict @ strict)
+        self.covers = hasse_covers(self.leq)
         if check:
             self._check_lattice()
 

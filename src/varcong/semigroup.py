@@ -14,6 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .congruence import canonical_labels, join_labels
+from .lattice import hasse_covers
 from .transform import Transformation, rank as t_rank
 
 MUL_DTYPE = np.int32
@@ -229,9 +230,7 @@ def eggbox_dot(S, name="eggbox"):
                  + "".join(rows) + "</TABLE>>")
         lines.append(f"  d{d} [label={label}];")
     # Hasse edges of the ideal order, drawn upper class -> lower class
-    leq = S.greens().d_order
-    strict = (leq & ~np.eye(len(leq), dtype=bool)).astype(np.float32)
-    covers = (strict > 0) & ~(strict @ strict > 0)   # float32 for BLAS, as in d_order
+    covers = hasse_covers(S.greens().d_order)
     for lo, hi in sorted(zip(*np.nonzero(covers))):
         lines.append(f"  d{hi} -> d{lo};")
     lines.append("}")

@@ -8,9 +8,11 @@ inverses, the structural enumeration built from them, and the classifier
 that names every congruence by its (chain entry, P-system, C-system) triple.
 """
 
+from collections import Counter
+
 import numpy as np
 
-from .congruence import EquivalenceRelation, is_congruence
+from .congruence import CapExceeded, EquivalenceRelation, is_congruence
 from .lattice import FiniteLattice
 from .malcev import context_chain, kappa_q_list, lift_sharp, rank_of_theta, rank_of_xi
 from .systems import (assemble_lambda, assemble_rho, enumerate_csystems,
@@ -108,14 +110,29 @@ def classify(ctx, sigma):
     return dec
 
 
+def lattice_size(xi_ranks, psystems, csystems):
+    """|Cong(P)| counted from the system ranks, with no congruence built: the
+    kappa-part of (p, c) has rank min(rank p, rank c), and the chain entry
+    at each position takes the kappa-parts of rank at least its xi-rank."""
+    pranks = Counter(s.rank for s in psystems)
+    cranks = Counter(s.rank for s in csystems)
+    return sum(x * y for need in xi_ranks
+               for a, x in pranks.items() for b, y in cranks.items()
+               if min(a, b) >= need)
+
+
 class LayeredLattice:
     """Cong(P) arranged by T-part: one layer per chain entry, each holding
-    the kappa-parts of sufficient rank."""
+    the kappa-parts of sufficient rank.  The lattice is counted before it is
+    built, and refused when its k*k order matrix would exceed `cap`."""
 
     def __init__(self, ctx, cap=10 ** 7):
         self.chain = context_chain(ctx)
         csystems = enumerate_csystems(ctx, cap=cap)
         psystems = enumerate_psystems(ctx, cap=cap)
+        k = lattice_size(self.chain.xi_ranks, psystems, csystems)
+        if k * k > cap:
+            raise CapExceeded("lattice order matrix", k * k, cap)
         rho_part = [assemble_rho(ctx, s) for s in csystems]
         lam_part = [assemble_lambda(ctx, s) for s in psystems]
         self.thetas = [kappa_fuse(ctx, t1, t2)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -207,6 +208,27 @@ def test_cap_refuses_before_the_structural_pipeline(capsys, monkeypatch):
                          "--method", "both", "--cap-elements", "3")
     assert code == 2
     assert "refused" in err
+    assert out == "" and calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("congruences", "--method", "structural"),
+    ("congruences", "--method", "both"),
+    ("height",),
+])
+def test_lattice_too_large_to_order_is_refused_before_it_is_built(
+        capsys, monkeypatch, argv):
+    # 372,601 congruences: the 372,601^2 order matrix is far over the cap
+    calls = []
+    for target in ("varcong.synthesis.assemble_rho",
+                   "varcong.synthesis.assemble_lambda",
+                   "varcong.synthesis.kappa_fuse", "varcong.synthesis.fuse"):
+        monkeypatch.setattr(target, lambda *a, **k: calls.append(a))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--a", "5: 1 2 2 2 2")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "refused: lattice order matrix" in err and str(372601 ** 2) in err
     assert out == "" and calls == []
 
 

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
+from varcong import lattice
 from varcong.congruence import EquivalenceRelation
-from varcong.lattice import (FiniteLattice, bell, height_formula,
+from varcong.lattice import (FiniteLattice, bell, hasse_covers, height_formula,
                              ht_interval_lambda, ht_interval_rho, stirling2)
 from varcong.systems import set_partitions
 
@@ -36,6 +38,18 @@ def test_finite_lattice_on_all_partitions(partition_lattice_4):
     # covers of the diagonal are exactly the six atoms (one merged pair)
     assert lat.covers[d].sum() == 6
     assert lat.covers[:, u].sum() == 7  # coatoms: partitions into two blocks
+
+
+@pytest.mark.parametrize("block", [1, 7, 5 * 52, 1 << 16])
+def test_hasse_covers_match_the_boolean_square(monkeypatch, block):
+    # block sizes of one row, a few rows, and the whole matrix at once
+    monkeypatch.setattr(lattice, "COVER_BLOCK", block)
+    rels = [EquivalenceRelation.from_blocks(5, [list(b) for b in parts])
+            for parts in set_partitions(list(range(5)))]
+    leq = FiniteLattice(rels, check=False).leq
+    strict = leq & ~np.eye(len(leq), dtype=bool)
+    assert (hasse_covers(leq) == strict & ~(strict @ strict)).all()
+    assert hasse_covers(np.ones((1, 1), dtype=bool)).tolist() == [[False]]
 
 
 def test_finite_lattice_height(partition_lattice_4):

@@ -7,7 +7,9 @@ from varcong.malcev import (context_chain, kappa_q_list, lift_sharp,
                             rank_of_theta, rank_of_xi)
 from varcong.synthesis import (CongDecomposition, classify,
                                enumerate_structurally, fuse, kappa_fuse,
-                               kappa_split, lattice_dot, lattice_json, split)
+                               kappa_split, lattice_dot, lattice_json,
+                               lattice_size, split)
+from varcong.systems import enumerate_csystems, enumerate_psystems
 from varcong.variant import build_context
 
 
@@ -144,3 +146,12 @@ def test_structural_enumeration_small_shapes():
     for text, count in (("2: 1 1", 2), ("3: 1 2 2", 15), ("2: 1 2", 4)):
         ll = enumerate_structurally(build_context(text))
         assert len(ll) == count, text
+
+
+def test_lattice_size_counts_the_sweep_before_building_it(sweep):
+    for ctx, ll in sweep:
+        psystems, csystems = enumerate_psystems(ctx), enumerate_csystems(ctx)
+        # the kappa-part of (p, c) has the smaller of the two system ranks
+        assert ll.theta_ranks == [min(p.rank, c.rank)
+                                  for p in psystems for c in csystems]
+        assert lattice_size(ll.chain.xi_ranks, psystems, csystems) == len(ll)

@@ -4,10 +4,11 @@ import pytest
 from varcong.congruence import (CapExceeded, EquivalenceRelation,
                                 is_congruence)
 from varcong.lattice import bell
-from varcong.systems import (CSystem, PSystem, assemble_lambda, assemble_rho,
-                             build_families, coarsenings, enumerate_csystems,
-                             enumerate_psystems, psi_extract_lambda,
-                             psi_extract_rho, refinements, set_partitions)
+from varcong.systems import (System, assemble_lambda, assemble_rho,
+                             build_families, enumerate_csystems,
+                             enumerate_psystems, interval, psi_extract_lambda,
+                             psi_extract_rho, set_partitions)
+from varcong.variant import build_context
 
 
 def test_set_partitions_counts():
@@ -19,17 +20,55 @@ def test_set_partitions_counts():
 
 def test_coarsenings_and_refinements_are_dual():
     x = EquivalenceRelation.from_pairs(4, [(0, 1)])
-    up = list(coarsenings(x))
-    down = list(refinements(x))
+    up = list(interval(x, EquivalenceRelation.universal(4)))
+    down = list(interval(EquivalenceRelation.diagonal(4), x))
     assert len(up) == bell(3)      # one per partition of the three blocks
     assert len(down) == 2          # split the pair or keep it
     for y in up:
         assert x.leq(y)
     for y in down:
         assert y.leq(x)
-    everything = set(coarsenings(EquivalenceRelation.diagonal(4)))
-    assert everything == set(refinements(EquivalenceRelation.universal(4)))
-    assert len(everything) == bell(4)
+    everything = list(interval(EquivalenceRelation.diagonal(4),
+                               EquivalenceRelation.universal(4)))
+    assert len(set(everything)) == len(everything) == bell(4)
+
+
+ALL_5 = [EquivalenceRelation(np.array(
+    [next(j for j, b in enumerate(p) if x in b) for x in range(5)]))
+    for p in set_partitions(range(5))]
+
+
+def test_interval_is_the_filtered_lattice():
+    assert len(set(ALL_5)) == bell(5) == 52
+    for lower in ALL_5:
+        for upper in ALL_5:
+            got = list(interval(lower, upper))
+            assert len(set(got)) == len(got)
+            want = {z for z in ALL_5 if lower.leq(z) and z.leq(upper)}
+            assert set(got) == want
+            if not lower.leq(upper):
+                assert got == []
+
+
+def test_interval_keeps_the_one_sided_orders():
+    """With one bound trivial, the order is set_partitions' order: of the
+    blocks of `lower` below the universal relation, and of the points of
+    each block of `upper`, last block fastest, above the diagonal."""
+    x = EquivalenceRelation.from_pairs(5, [(0, 3), (1, 4)])
+    blocks = x.blocks()
+    merged = []
+    for part in set_partitions(range(len(blocks))):
+        labels = np.empty(5, dtype=np.int64)
+        for j, group in enumerate(part):
+            for b in group:
+                labels[blocks[b]] = j
+        merged.append(EquivalenceRelation(labels))
+    assert list(interval(x, EquivalenceRelation.universal(5))) == merged
+    split = [EquivalenceRelation(np.array(
+        [next(j for j, b in enumerate(p0 + p1 + p2) if y in b) for y in range(5)]))
+        for p0 in set_partitions(blocks[0]) for p1 in set_partitions(blocks[1])
+        for p2 in set_partitions(blocks[2])]
+    assert list(interval(EquivalenceRelation.diagonal(5), x)) == split
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +78,12 @@ def families(headline_ctx):
 
 def test_cross_section_family_shape(headline_ctx, families):
     cfam, _ = families
-    assert len(cfam.masks) == 7
+    assert len(cfam.keys) == 7
     # blocks of a = (1,2,3,3) are {1}, {2}, {3,4}
-    sizes = {tuple(cfam.mask_label(m)): len(cfam.members[m]) for m in cfam.masks}
+    sizes = {tuple(cfam.label(m)): len(cfam.members[m]) for m in cfam.keys}
     assert sizes == {(1, 2, 3): 2, (1, 2): 1, (1, 3): 2, (2, 3): 2,
                      (1,): 1, (2,): 1, (3,): 2}
-    full = max(cfam.masks, key=lambda m: bin(m).count("1"))
+    full = max(cfam.keys, key=lambda m: bin(m).count("1"))
     assert sorted(cfam.members[full]) == [(1, 2, 3), (1, 2, 4)]
     # restriction maps drop one coordinate
     for sub, m in cfam.down_maps[full]:
@@ -60,15 +99,15 @@ def test_cross_section_slots(headline_ctx, families):
         assert (slots >= 0).all()
         # the slot map really inverts the per-element coordinates
         for j, f in enumerate(slots):
-            assert cfam.elem_imask[f] == mask and cfam.elem_cidx[f] == j
+            assert cfam.elem_keys[f] == mask and cfam.elem_index[f] == j
 
 
 def test_partition_family_shape(headline_ctx, families):
     _, pfam = families
-    assert len(pfam.ikeys) == bell(3)
-    for ikey in pfam.ikeys:
+    assert len(pfam.keys) == bell(3)
+    for ikey in pfam.keys:
         assert len(pfam.members[ikey]) == len(ikey) ** 1  # n - r = 1
-    finest = pfam.ikeys[-1]
+    finest = pfam.keys[-1]
     assert finest == ((0,), (1,), (2,))
     assert set(pfam.members[finest]) == {
         ((1, 4), (2,), (3,)), ((1,), (2, 4), (3,)), ((1,), (2,), (3, 4))}
@@ -82,7 +121,7 @@ def test_partition_slots(headline_ctx, families):
     for ikey, slots in zip(pfam.class_keys, pfam.class_elems):
         assert len(slots) == len(pfam.members[ikey])
         for j, f in enumerate(slots):
-            assert pfam.elem_keys[f] == ikey and pfam.elem_pidx[f] == j
+            assert pfam.elem_keys[f] == ikey and pfam.elem_index[f] == j
 
 
 def test_extract_assemble_round_trip_rho(headline_ctx):
@@ -120,14 +159,14 @@ def test_extract_rejects_relations_outside_the_interval(headline_ctx):
 def test_incoherent_family_is_rejected(headline_ctx, families):
     cfam, _ = families
     psi = {}
-    for mask in cfam.masks:
+    for mask in cfam.keys:
         k = len(cfam.members[mask])
         psi[mask] = (EquivalenceRelation.universal(k)
                      if bin(mask).count("1") == 3
                      else EquivalenceRelation.diagonal(k))
     # collapsing the full cross-sections forces the pairs below
     with pytest.raises(ValueError, match="coherent"):
-        CSystem(cfam, psi)
+        System(cfam, psi)
 
 
 def test_enumerations_match_interval_sizes(headline_ctx, headline_oracle):
@@ -168,3 +207,15 @@ def test_system_serialization(headline_ctx):
     assert blob["[1, 2, 3]"] == [[0, 1]]
     sys_lam = psi_extract_lambda(ctx, ctx.lam)
     assert "[[1], [2], [3]]" in sys_lam.serialize()
+
+
+@pytest.mark.parametrize("a, pranks, cranks", [
+    ("4: 1 2 3 3", [3, 2, 2, 2, 2] + [1] * 10, [3, 2, 1, 1, 1, 0]),
+    ("4: 1 1 3 3", [2] + [1] * 14,
+     [2, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 0]),
+])
+def test_enumeration_order_is_pinned(a, pranks, cranks):
+    # the order sets the node ids of lattice_json and its witness chain
+    ctx = build_context(a)
+    assert [s.rank for s in enumerate_psystems(ctx)] == pranks
+    assert [s.rank for s in enumerate_csystems(ctx)] == cranks
